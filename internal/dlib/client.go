@@ -161,14 +161,16 @@ func (c *Client) GoContext(ctx context.Context, proc string, payload []byte) fun
 
 func (c *Client) start(proc string, payload []byte) (uint64, chan frame, error) {
 	c.mu.Lock()
+	// Closed first: Close makes the read loop fail with "connection
+	// lost", and a call after Close must still report the close.
+	if c.closed {
+		c.mu.Unlock()
+		return 0, nil, ErrClientClosed
+	}
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
 		return 0, nil, err
-	}
-	if c.closed {
-		c.mu.Unlock()
-		return 0, nil, ErrClientClosed
 	}
 	c.nextID++
 	id := c.nextID

@@ -50,8 +50,7 @@ func minInt(a, b int) int {
 // (du/dx, du/dy, du/dz) for each velocity component at node (i, j, k):
 // grad_x u = J^-T grad_xi u, where J is the grid Jacobian.
 func physicalGradients(g *grid.Grid, f *Field, i, j, k int) (gu, gv, gw vmath.Vec3, ok bool) {
-	gc := vmath.Vec3{X: float32(i), Y: float32(j), Z: float32(k)}
-	cols := g.Jacobian(gc) // d(phys)/d(xi), columns per computational axis
+	cols := g.NodeJacobian(i, j, k) // d(phys)/d(xi), columns per computational axis
 	inv, invOK := invert3(cols)
 	if !invOK {
 		return vmath.Vec3{}, vmath.Vec3{}, vmath.Vec3{}, false

@@ -152,8 +152,7 @@ func ToGridCoords(f *Field, g *grid.Grid) (*Field, error) {
 	for k := 0; k < f.NK; k++ {
 		for j := 0; j < f.NJ; j++ {
 			for i := 0; i < f.NI; i++ {
-				gc := vmath.Vec3{X: float32(i), Y: float32(j), Z: float32(k)}
-				cols := g.Jacobian(gc)
+				cols := g.NodeJacobian(i, j, k)
 				ugrid, ok := solveJacobian(cols, f.At(i, j, k))
 				if !ok {
 					// Degenerate cell (e.g. collapsed pole line):
@@ -185,8 +184,7 @@ func ToPhysicalVelocity(f *Field, g *grid.Grid) (*Field, error) {
 	for k := 0; k < f.NK; k++ {
 		for j := 0; j < f.NJ; j++ {
 			for i := 0; i < f.NI; i++ {
-				gc := vmath.Vec3{X: float32(i), Y: float32(j), Z: float32(k)}
-				cols := g.Jacobian(gc)
+				cols := g.NodeJacobian(i, j, k)
 				u := f.At(i, j, k)
 				out.SetAt(i, j, k, vmath.Vec3{
 					X: cols[0].X*u.X + cols[1].X*u.Y + cols[2].X*u.Z,

@@ -9,12 +9,23 @@
 // the curvilinear grid. Paths are converted back to physical
 // coordinates by direct lookup of node positions with trilinear
 // interpolation.
+//
+// Those conversions need the grid Jacobian at every node, on every
+// timestep a live solver produces and every field diagnostic the
+// shared tools derive. A Grid therefore keeps a per-node Jacobian
+// table (NodeJacobian), built once on first use: 36 bytes per node,
+// 221 KB on a 24x32x8 grid. The table relies on an invariant every
+// Grid obeys: node positions are fixed once the grid is first used.
+// The builders and readers fill X/Y/Z before returning the grid, and
+// nothing writes them afterwards. Different node positions make a new
+// Grid, as the live producer's shifted sampling grid does.
 package grid
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/vmath"
 )
@@ -22,9 +33,14 @@ import (
 // Grid is a structured curvilinear grid of NI x NJ x NK nodes. Node
 // (i, j, k) has physical position (X[idx], Y[idx], Z[idx]) with
 // idx = (k*NJ + j)*NI + i; i varies fastest, matching PLOT3D ordering.
+// X, Y and Z must not be written once the grid has been handed to a
+// caller (see the package doc): the node Jacobian table caches them.
 type Grid struct {
 	NI, NJ, NK int
 	X, Y, Z    []float32
+
+	jacOnce sync.Once
+	jac     [][3]vmath.Vec3 // Jacobian(node) per node index, built by jacOnce
 }
 
 // New allocates an empty grid of the given dimensions. Each dimension
@@ -170,7 +186,8 @@ func (g *Grid) Bounds() vmath.AABB {
 
 // Jacobian returns the 3x3 Jacobian d(phys)/d(grid) at grid coordinate
 // gc, estimated by central differences of the trilinear position map.
-// Columns are the physical-space derivatives along i, j, k.
+// Columns are the physical-space derivatives along i, j, k. At integer
+// nodes use NodeJacobian, which returns the same values from a table.
 func (g *Grid) Jacobian(gc vmath.Vec3) (cols [3]vmath.Vec3) {
 	const h = 0.25
 	for axis := 0; axis < 3; axis++ {
@@ -203,6 +220,27 @@ func (g *Grid) Jacobian(gc vmath.Vec3) (cols [3]vmath.Vec3) {
 		cols[axis] = g.PhysAt(hi).Sub(g.PhysAt(lo)).Scale(1 / span)
 	}
 	return cols
+}
+
+// NodeJacobian returns Jacobian at integer node (i, j, k), bit for bit,
+// from a table of every node's Jacobian built on the first call. The
+// per-node field conversions and diagnostics use it so a grid whose
+// nodes never move pays for its Jacobians once, not once per
+// timestep. It is safe for concurrent use.
+func (g *Grid) NodeJacobian(i, j, k int) [3]vmath.Vec3 {
+	g.jacOnce.Do(g.buildNodeJacobians)
+	return g.jac[g.Index(i, j, k)]
+}
+
+func (g *Grid) buildNodeJacobians() {
+	g.jac = make([][3]vmath.Vec3, g.NumNodes())
+	for k := 0; k < g.NK; k++ {
+		for j := 0; j < g.NJ; j++ {
+			for i := 0; i < g.NI; i++ {
+				g.jac[g.Index(i, j, k)] = g.Jacobian(vmath.Vec3{X: float32(i), Y: float32(j), Z: float32(k)})
+			}
+		}
+	}
 }
 
 // ErrNotFound is returned by PhysToGrid when the physical point cannot

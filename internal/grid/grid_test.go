@@ -368,3 +368,61 @@ func TestMultiblockLocateBadGuessBlock(t *testing.T) {
 		t.Errorf("locate with bad guess: %v %v", bc, err)
 	}
 }
+
+// TestNodeJacobianBitIdentical pins the node Jacobian table to the
+// Jacobian it caches: all nine components at every node, bit for bit,
+// on each builder's grid and on a seeded randomly perturbed grid.
+func TestNodeJacobianBitIdentical(t *testing.T) {
+	cart, err := NewCartesian(5, 4, 3, vmath.AABB{Min: vmath.V3(-1, -2, -3), Max: vmath.V3(1, 2, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	taper, err := NewTaperedCylinder(TaperedCylinderSpec{
+		NI: 9, NJ: 12, NK: 5, R0: 1, R1: 0.5, Router: 6, Span: 4, Stretch: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stretched, err := NewStretchedBox(6, 5, 4, unitBox(), 1.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perturbed, err := NewCartesian(7, 6, 5, unitBox())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1992))
+	for n := range perturbed.X {
+		perturbed.X[n] += (rng.Float32() - 0.5) * 0.05
+		perturbed.Y[n] += (rng.Float32() - 0.5) * 0.05
+		perturbed.Z[n] += (rng.Float32() - 0.5) * 0.05
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Grid
+	}{{"cartesian", cart}, {"tapered", taper}, {"stretched", stretched}, {"perturbed", perturbed}} {
+		name, g := tc.name, tc.g
+		for k := 0; k < g.NK; k++ {
+			for j := 0; j < g.NJ; j++ {
+				for i := 0; i < g.NI; i++ {
+					got := g.NodeJacobian(i, j, k)
+					want := g.Jacobian(vmath.V3(float32(i), float32(j), float32(k)))
+					if !jacobianBitsEqual(got, want) {
+						t.Fatalf("%s: NodeJacobian(%d,%d,%d) = %v, Jacobian = %v", name, i, j, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func jacobianBitsEqual(a, b [3]vmath.Vec3) bool {
+	for c := range a {
+		if math.Float32bits(a[c].X) != math.Float32bits(b[c].X) ||
+			math.Float32bits(a[c].Y) != math.Float32bits(b[c].Y) ||
+			math.Float32bits(a[c].Z) != math.Float32bits(b[c].Z) {
+			return false
+		}
+	}
+	return true
+}

@@ -62,16 +62,15 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Write implements net.Conn with pacing: after the underlying write,
-// sleep so the long-run rate matches the configured bandwidth.
+// Write implements net.Conn with pacing: before the underlying write,
+// sleep off the debt len(p) adds, so the peer never receives bytes
+// faster than the configured bandwidth.
 func (c *Conn) Write(p []byte) (int, error) {
 	if c.link.Latency > 0 {
 		time.Sleep(c.link.Latency) //vw:allow wallclock -- link pacing burns real time by design
 	}
-	n, err := c.Conn.Write(p)
-	c.bytesWritten.Add(int64(n))
-	if bw := c.link.BandwidthBytesPerSec; bw > 0 && n > 0 {
-		cost := time.Duration(float64(n) / float64(bw) * float64(time.Second))
+	if bw := c.link.BandwidthBytesPerSec; bw > 0 && len(p) > 0 {
+		cost := time.Duration(float64(len(p)) / float64(bw) * float64(time.Second))
 		c.mu.Lock()
 		now := time.Now() //vw:allow wallclock -- bandwidth debt is paid in real time by design
 		if !c.lastTxn.IsZero() {
@@ -95,6 +94,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 			c.mu.Unlock()
 		}
 	}
+	n, err := c.Conn.Write(p)
+	c.bytesWritten.Add(int64(n))
 	return n, err
 }
 

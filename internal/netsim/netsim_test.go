@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -42,7 +43,9 @@ func TestPassThrough(t *testing.T) {
 	a, b := tcpPair(t)
 	ca := Link{}.Wrap(a)
 	msg := []byte("hello windtunnel")
+	wrote := make(chan struct{})
 	go func() {
+		defer close(wrote)
 		if _, err := ca.Write(msg); err != nil {
 			t.Error(err)
 		}
@@ -54,6 +57,9 @@ func TestPassThrough(t *testing.T) {
 	if !bytes.Equal(buf, msg) {
 		t.Errorf("got %q", buf)
 	}
+	// The reader can hold every byte before the writer has counted
+	// them; join the writer so Stats sees its completed Write.
+	<-wrote
 	_, written := ca.Stats()
 	if written != int64(len(msg)) {
 		t.Errorf("bytesWritten = %d, want %d", written, len(msg))
@@ -61,33 +67,46 @@ func TestPassThrough(t *testing.T) {
 }
 
 func TestBandwidthPacing(t *testing.T) {
-	a, b := tcpPair(t)
-	// 1 MB/s link; send 100 KB => should take >= ~95 ms.
-	ca := Link{BandwidthBytesPerSec: 1 << 20}.Wrap(a)
-	payload := make([]byte, 100*1024)
-	done := make(chan time.Duration, 1)
-	go func() {
-		start := time.Now()
-		for sent := 0; sent < len(payload); {
-			n, err := ca.Write(payload[sent : sent+4096])
-			if err != nil {
-				t.Error(err)
-				return
+	// 1 MB/s link; send 100 KB => should take >= ~95 ms, in frame-sized
+	// chunks and as one bulk write.
+	for _, chunk := range []int{4096, 100 * 1024} {
+		t.Run(fmt.Sprintf("chunk%d", chunk), func(t *testing.T) {
+			a, b := tcpPair(t)
+			ca := Link{BandwidthBytesPerSec: 1 << 20}.Wrap(a)
+			payload := make([]byte, 100*1024)
+			done := make(chan time.Duration, 1)
+			go func() {
+				start := time.Now()
+				defer func() { done <- time.Since(start) }()
+				for sent := 0; sent < len(payload); {
+					n, err := ca.Write(payload[sent : sent+chunk])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					sent += n
+				}
+			}()
+			readStart := time.Now()
+			if _, err := io.ReadFull(b, make([]byte, len(payload))); err != nil {
+				t.Fatal(err)
 			}
-			sent += n
-		}
-		done <- time.Since(start)
-	}()
-	if _, err := io.ReadFull(b, make([]byte, len(payload))); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := <-done
-	want := time.Duration(float64(len(payload)) / float64(1<<20) * float64(time.Second))
-	if elapsed < want*8/10 {
-		t.Errorf("100KB over 1MB/s link took %v, want >= %v", elapsed, want)
-	}
-	if elapsed > want*3 {
-		t.Errorf("pacing too slow: %v for budget %v", elapsed, want)
+			// The reader's clock is the one that matters: a link that
+			// hands the peer its bytes early and only then makes the
+			// sender wait out the budget is not paced at all.
+			received := time.Since(readStart)
+			elapsed := <-done
+			want := time.Duration(float64(len(payload)) / float64(1<<20) * float64(time.Second))
+			if received < want*97/100 {
+				t.Errorf("reader had 100KB over a 1MB/s link after %v, want >= %v", received, want*97/100)
+			}
+			if elapsed < want*8/10 {
+				t.Errorf("100KB over 1MB/s link took %v, want >= %v", elapsed, want)
+			}
+			if elapsed > want*3 {
+				t.Errorf("pacing too slow: %v for budget %v", elapsed, want)
+			}
+		})
 	}
 }
 
